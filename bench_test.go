@@ -407,16 +407,28 @@ func BenchmarkJournalAppend(b *testing.B) {
 // reps). Calibration is warmed before timing, so the number is the
 // model-adder sampling cost itself — the per-point rate that makes the
 // paper-scale 1e6-sample budget tractable. Gated in CI alongside the
-// sim kernels.
+// sim kernels. Its triad (4.0 ns, 0.9 V) is error-free, so it times the
+// exact regime; BenchmarkMonteCarloPointDeep is its deep-VOS twin.
 func BenchmarkMonteCarloPoint(b *testing.B) {
+	benchMonteCarloPoint(b, vos.Triad{Tclk: 4.0, Vdd: 0.9}, false)
+}
+
+// BenchmarkMonteCarloPointDeep is BenchmarkMonteCarloPoint at RCA16's
+// deep-VOS cell (0.212 ns, 0.7 V, no body bias; gate-sim BER near 4.6%),
+// the regime the paper studies: most adds draw a truncating carry limit.
+// It fails if the cell ran error-free (the 99 dB exact-output cap).
+func BenchmarkMonteCarloPointDeep(b *testing.B) {
+	benchMonteCarloPoint(b, vos.Triad{Tclk: 0.212, Vdd: 0.7}, true)
+}
+
+func benchMonteCarloPoint(b *testing.B, tr vos.Triad, deep bool) {
 	cli, err := vos.NewLocal(vos.LocalOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cli.Close()
 	ctx := context.Background()
-	spec := vos.NewMCSpec("fir").Seed(1).Samples(64 * 1024).
-		Triads(vos.Triad{Tclk: 4.0, Vdd: 0.9})
+	spec := vos.NewMCSpec("fir").Seed(1).Samples(64 * 1024).Triads(tr)
 	if _, err := cli.RunMC(ctx, spec); err != nil {
 		b.Fatal(err) // warm synthesis + calibration before timing
 	}
@@ -431,6 +443,9 @@ func BenchmarkMonteCarloPoint(b *testing.B) {
 	}
 	b.StopTimer()
 	pt := last.Points[0]
+	if deep && pt.Mean >= core.SNRCap {
+		b.Fatalf("deep-VOS cell reports %.1f dB: error-free, not the regime under test", pt.Mean)
+	}
 	b.ReportMetric(float64(pt.Samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	b.ReportMetric(pt.Mean, "dB")
 }
@@ -1192,6 +1207,32 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 
 func BenchmarkApproxAdd(b *testing.B) {
 	model := &core.Model{Width: 16, Metric: core.MetricMSE, Table: core.Identity(16)}
+	approx, err := core.NewApproxAdder(model, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		approx.Add(rng.Uint64()&0xffff, rng.Uint64()&0xffff)
+	}
+}
+
+// BenchmarkApproxAddDeep is BenchmarkApproxAdd driven by a truncating
+// table: every column l ≥ 1 realizes its full chain with probability
+// 0.6 and spreads the rest evenly over the shorter limits, so most
+// operand pairs take the truncated-carry path (the Identity table never
+// truncates).
+func BenchmarkApproxAddDeep(b *testing.B) {
+	tab := core.NewProbTable(16)
+	tab.P[0][0] = 1
+	for l := 1; l <= 16; l++ {
+		tab.P[l][l] = 0.6
+		for k := 0; k < l; k++ {
+			tab.P[k][l] = 0.4 / float64(l)
+		}
+	}
+	model := &core.Model{Width: 16, Metric: core.MetricMSE, Table: tab}
 	approx, err := core.NewApproxAdder(model, 1)
 	if err != nil {
 		b.Fatal(err)

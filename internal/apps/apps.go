@@ -30,6 +30,10 @@ const wordMask = uint64(1)<<Word - 1
 // approximation composes upward exactly as it would in hardware).
 type Arith struct {
 	adder core.HardwareAdder
+	// exact and approx let Add skip the interface call for the two
+	// adders every Monte Carlo rep runs on: the reference and the model.
+	exact  bool
+	approx *core.ApproxAdder
 }
 
 // NewArith wraps an adder; it must be Word bits wide.
@@ -37,12 +41,26 @@ func NewArith(a core.HardwareAdder) (*Arith, error) {
 	if a.Width() != Word {
 		return nil, fmt.Errorf("apps: adder width %d, need %d", a.Width(), Word)
 	}
-	return &Arith{adder: a}, nil
+	ar := &Arith{adder: a}
+	switch ad := a.(type) {
+	case core.ExactAdder:
+		ar.exact = true
+	case *core.ApproxAdder:
+		ar.approx = ad
+	}
+	return ar, nil
 }
 
 // Add returns (a + b) masked to the word width.
 func (ar *Arith) Add(a, b uint64) uint64 {
-	return ar.adder.Add(a&wordMask, b&wordMask) & wordMask
+	a, b = a&wordMask, b&wordMask
+	switch {
+	case ar.exact:
+		return (a + b) & wordMask
+	case ar.approx != nil:
+		return ar.approx.Add(a, b) & wordMask
+	}
+	return ar.adder.Add(a, b) & wordMask
 }
 
 // Sub returns (a − b) in two's complement via the adder: a + ~b + 1.
@@ -74,13 +92,19 @@ func (ar *Arith) MulSmall(v uint64, c int) uint64 {
 	return acc
 }
 
+// sumTreeStack is the operand count SumTree reduces without allocating:
+// enough for every kernel's per-sample sums.
+const sumTreeStack = 16
+
 // SumTree adds the values in a balanced tree (the natural hardware
-// reduction shape).
+// reduction shape): adjacent pairs level by level, an odd last value
+// carried up unchanged.
 func (ar *Arith) SumTree(vals []uint64) uint64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	work := append([]uint64(nil), vals...)
+	var buf [sumTreeStack]uint64
+	work := append(buf[:0], vals...)
 	for len(work) > 1 {
 		next := work[:0]
 		for i := 0; i+1 < len(work); i += 2 {
@@ -138,8 +162,13 @@ func (im *Image) Set(x, y int, v uint8) { im.Pix[y*im.W+x] = v }
 // bright disc, dark rectangle, mild noise — enough structure for PSNR and
 // edge detection to be meaningful.
 func Synthetic(w, h int, seed uint64) *Image {
-	img := NewImage(w, h)
-	rng := rand.New(rand.NewPCG(seed, 0x1ca7e))
+	return syntheticInto(NewImage(w, h), seed)
+}
+
+// syntheticInto renders the Synthetic scene of img's size into img.
+func syntheticInto(img *Image, seed uint64) *Image {
+	w, h := img.W, img.H
+	rng := rand.NewPCG(seed, 0x1ca7e)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			v := 40 + 150*x/w
@@ -166,20 +195,23 @@ func Synthetic(w, h int, seed uint64) *Image {
 // GaussianBlur3 applies the [1 2 1; 2 4 2; 1 2 1]/16 kernel using only the
 // approximate adder (weights are shift-and-add, division is a shift).
 func GaussianBlur3(img *Image, ar *Arith) *Image {
-	out := NewImage(img.W, img.H)
-	terms := make([]uint64, 0, 9)
+	return gaussianBlur3Into(NewImage(img.W, img.H), img, ar)
+}
+
+// gaussianBlur3Into is GaussianBlur3 writing into out (same size as img).
+func gaussianBlur3Into(out, img *Image, ar *Arith) *Image {
+	var terms [9]uint64
 	for y := 0; y < img.H; y++ {
 		for x := 0; x < img.W; x++ {
-			terms = terms[:0]
+			i := 0
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					w := 1 << (2 - abs(dx) - abs(dy)) // 4, 2, or 1
-					p := uint64(img.At(x+dx, y+dy))
-					terms = append(terms, ar.MulSmall(p, w))
+					terms[i] = ar.MulSmall(uint64(img.At(x+dx, y+dy)), w)
+					i++
 				}
 			}
-			sum := ar.SumTree(terms)
-			v := sum >> 4
+			v := ar.SumTree(terms[:]) >> 4
 			if v > 255 {
 				v = 255
 			}
@@ -192,14 +224,24 @@ func GaussianBlur3(img *Image, ar *Arith) *Image {
 // Sobel computes the gradient magnitude |gx| + |gy| with adder-based
 // subtraction and absolute value; output saturates at 255.
 func Sobel(img *Image, ar *Arith) *Image {
-	out := NewImage(img.W, img.H)
+	return sobelInto(NewImage(img.W, img.H), img, ar)
+}
+
+// sobelInto is Sobel writing into out (same size as img).
+func sobelInto(out, img *Image, ar *Arith) *Image {
 	for y := 0; y < img.H; y++ {
 		for x := 0; x < img.W; x++ {
-			p := func(dx, dy int) uint64 { return uint64(img.At(x+dx, y+dy)) }
-			gxPos := ar.SumTree([]uint64{p(1, -1), ar.MulPow2(p(1, 0), 1), p(1, 1)})
-			gxNeg := ar.SumTree([]uint64{p(-1, -1), ar.MulPow2(p(-1, 0), 1), p(-1, 1)})
-			gyPos := ar.SumTree([]uint64{p(-1, 1), ar.MulPow2(p(0, 1), 1), p(1, 1)})
-			gyNeg := ar.SumTree([]uint64{p(-1, -1), ar.MulPow2(p(0, -1), 1), p(1, -1)})
+			// The 3×3 neighbourhood, n[dy+1][dx+1].
+			var n [3][3]uint64
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					n[dy+1][dx+1] = uint64(img.At(x+dx, y+dy))
+				}
+			}
+			gxPos := ar.SumTree([]uint64{n[0][2], ar.MulPow2(n[1][2], 1), n[2][2]})
+			gxNeg := ar.SumTree([]uint64{n[0][0], ar.MulPow2(n[1][0], 1), n[2][0]})
+			gyPos := ar.SumTree([]uint64{n[2][0], ar.MulPow2(n[2][1], 1), n[2][2]})
+			gyNeg := ar.SumTree([]uint64{n[0][0], ar.MulPow2(n[0][1], 1), n[0][2]})
 			gx := ar.Abs(ar.Sub(gxPos, gxNeg))
 			gy := ar.Abs(ar.Sub(gyPos, gyNeg))
 			m := ar.Add(gx, gy)

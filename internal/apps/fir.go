@@ -21,8 +21,13 @@ func BinomialFIR() FIR {
 // Apply filters the signal (unsigned samples < 256) with the approximate
 // arithmetic; the output has the same length (edges zero-padded).
 func (f FIR) Apply(x []uint64, ar *Arith) []uint64 {
-	y := make([]uint64, len(x))
-	terms := make([]uint64, 0, len(f.Taps))
+	return f.applyInto(make([]uint64, len(x)), x, ar)
+}
+
+// applyInto is Apply writing into y (len(y) == len(x)).
+func (f FIR) applyInto(y, x []uint64, ar *Arith) []uint64 {
+	var stack [sumTreeStack]uint64
+	terms := stack[:0]
 	half := len(f.Taps) / 2
 	for n := range x {
 		terms = terms[:0]
@@ -42,8 +47,12 @@ func (f FIR) Apply(x []uint64, ar *Arith) []uint64 {
 // to keep) plus a fast sine (the band to reject) plus mild noise, offset
 // into the unsigned range.
 func TwoTone(n int, seed uint64) []uint64 {
-	rng := rand.New(rand.NewPCG(seed, 0x70e5))
-	out := make([]uint64, n)
+	return twoToneInto(make([]uint64, n), seed)
+}
+
+// twoToneInto writes the TwoTone signal of len(out) samples into out.
+func twoToneInto(out []uint64, seed uint64) []uint64 {
+	rng := rand.NewPCG(seed, 0x70e5)
 	for i := range out {
 		slow := 60 * math.Sin(2*math.Pi*float64(i)/64)
 		fast := 25 * math.Sin(2*math.Pi*float64(i)/4)

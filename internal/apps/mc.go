@@ -38,8 +38,8 @@ type MCRepResult struct {
 	// differed from the exact run.
 	Outputs int64
 	Errors  int64
-	// Hist is the |error| magnitude histogram (length MCHistBins).
-	Hist []uint64
+	// Hist is the |error| magnitude histogram.
+	Hist [MCHistBins]uint64
 }
 
 // MCKernel is one catalog entry.
@@ -80,25 +80,55 @@ func MCKernelByName(name string) (MCKernel, bool) {
 // census the deviation. The exact run makes the rep self-contained —
 // shards need no reference data from the coordinator.
 func (k MCKernel) RunRep(seed uint64, ar *Arith) (MCRepResult, error) {
-	exact, err := NewArith(core.ExactAdder{W: Word})
-	if err != nil {
-		return MCRepResult{}, err
-	}
+	return k.Runner().Run(seed, ar)
+}
+
+// MCRunner runs reps of one kernel, reusing the rep's input and output
+// buffers from one rep to the next, so a run of reps allocates nothing
+// per rep on the fir, blur and sobel kernels. A runner is not safe for
+// concurrent use: give each worker its own.
+type MCRunner struct {
+	k     MCKernel
+	exact *Arith
+	fir   FIR
+	// fir buffers: input signal, exact and approximate outputs.
+	x, refY, gotY []uint64
+	// blur/sobel buffers: input scene, exact and approximate outputs.
+	img, refImg, gotImg *Image
+}
+
+// Runner returns a fresh runner for the kernel.
+func (k MCKernel) Runner() *MCRunner {
+	exact, _ := NewArith(core.ExactAdder{W: Word}) // Word wide: cannot fail
+	return &MCRunner{k: k, exact: exact, fir: BinomialFIR()}
+}
+
+// Run executes one rep exactly as RunRep does.
+func (r *MCRunner) Run(seed uint64, ar *Arith) (MCRepResult, error) {
+	k := r.k
 	switch k.Name {
 	case "fir":
-		x := TwoTone(k.RepSize, seed)
-		f := BinomialFIR()
-		ref, got := f.Apply(x, exact), f.Apply(x, ar)
+		if r.x == nil {
+			r.x = make([]uint64, k.RepSize)
+			r.refY = make([]uint64, k.RepSize)
+			r.gotY = make([]uint64, k.RepSize)
+		}
+		x := twoToneInto(r.x, seed)
+		ref, got := r.fir.applyInto(r.refY, x, r.exact), r.fir.applyInto(r.gotY, x, ar)
 		res := censusSlices(ref, got)
 		res.Metric = core.CapSNR(SignalSNR(ref, got))
 		return res, nil
 	case "blur", "sobel":
-		img := Synthetic(64, k.RepSize/64, seed)
+		if r.img == nil {
+			w, h := 64, k.RepSize/64
+			r.img, r.refImg, r.gotImg = NewImage(w, h), NewImage(w, h), NewImage(w, h)
+		}
+		img := syntheticInto(r.img, seed)
 		var ref, got *Image
 		if k.Name == "blur" {
-			ref, got = GaussianBlur3(img, exact), GaussianBlur3(img, ar)
+			ref, got = gaussianBlur3Into(r.refImg, img, r.exact), gaussianBlur3Into(r.gotImg, img, ar)
 		} else {
-			ref, got = Sobel(img, exact), Sobel(img, ar)
+			ref, got = sobelInto(r.refImg, img, r.exact), sobelInto(r.gotImg, img, ar)
 		}
 		res := censusImages(ref, got)
 		res.Metric = core.CapSNR(PSNR(ref, got))
@@ -106,7 +136,7 @@ func (k MCKernel) RunRep(seed uint64, ar *Arith) (MCRepResult, error) {
 	case "kmeans":
 		points, _ := ThreeBlobs(k.RepSize, seed)
 		km := KMeans{K: 3, Iters: 4}
-		refC, _ := km.Clusters(points, exact, seed)
+		refC, _ := km.Clusters(points, r.exact, seed)
 		gotC, _ := km.Clusters(points, ar, seed)
 		// Census under sorted matching, like CentroidRMSE grades.
 		rs, gs := append([]uint64(nil), refC...), append([]uint64(nil), gotC...)
@@ -121,7 +151,7 @@ func (k MCKernel) RunRep(seed uint64, ar *Arith) (MCRepResult, error) {
 }
 
 func censusSlices(ref, got []uint64) MCRepResult {
-	res := MCRepResult{Hist: make([]uint64, MCHistBins)}
+	var res MCRepResult
 	for i := range ref {
 		d := ref[i] - got[i]
 		if got[i] > ref[i] {
@@ -137,7 +167,7 @@ func censusSlices(ref, got []uint64) MCRepResult {
 }
 
 func censusImages(ref, got *Image) MCRepResult {
-	res := MCRepResult{Hist: make([]uint64, MCHistBins)}
+	var res MCRepResult
 	for i := range ref.Pix {
 		d := int(ref.Pix[i]) - int(got.Pix[i])
 		if d < 0 {

@@ -99,3 +99,57 @@ func TestRunRepExactIsLossless(t *testing.T) {
 		})
 	}
 }
+
+// TestRunnerMatchesRunRep checks that a runner reused across reps, with
+// its adder reseeded per rep, reproduces fresh RunRep calls on fresh
+// adders: no state leaks from one rep's buffers into the next.
+func TestRunnerMatchesRunRep(t *testing.T) {
+	for _, k := range MCKernels() {
+		t.Run(k.Name, func(t *testing.T) {
+			ar := noisyArith(t, 0)
+			run := k.Runner()
+			for seed := uint64(1); seed <= 4; seed++ {
+				ar.approx.Reseed(seed)
+				got, err := run.Run(seed, ar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := k.RunRep(seed, noisyArith(t, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: reused runner\n%+v\nfresh RunRep\n%+v", seed, got, want)
+				}
+			}
+		})
+	}
+}
+
+// maxRepAllocs bounds the heap allocations of one fir or blur rep on a
+// reused runner and a reseeded adder (measured: 0). Per-sample garbage —
+// such as a SumTree operand copy, once 90% of a job's allocated bytes —
+// would show up as thousands per rep.
+const maxRepAllocs = 2
+
+func TestRunnerRepAllocations(t *testing.T) {
+	for _, name := range []string{"fir", "blur"} {
+		k, _ := MCKernelByName(name)
+		ar := noisyArith(t, 0)
+		run := k.Runner()
+		seed := uint64(1)
+		if _, err := run.Run(seed, ar); err != nil { // sizes the buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			seed++
+			ar.approx.Reseed(seed)
+			if _, err := run.Run(seed, ar); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxRepAllocs {
+			t.Errorf("%s: %.0f allocations per rep, want at most %d", name, allocs, maxRepAllocs)
+		}
+	}
+}

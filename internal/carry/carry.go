@@ -10,12 +10,30 @@
 // length therefore lies in [0, N]: 0 when no carry is generated anywhere,
 // N when a carry born at bit 0 propagates out of the carry output. This
 // matches Table I's 0…N columns.
+//
+// The kernels work on whole words. With generate g = a·b and propagate
+// p = a⊕b, the set of positions a carry has reached after traveling d
+// positions is
+//
+//	t₁ = g≪1,  t_{d+1} = (t_d ∧ p)≪1
+//
+// because a carry travels on only through a propagate bit. Cthmax is the
+// largest d with t_d ≠ 0, and the carry vector of the modified adder
+// truncated at Cmax is
+//
+//	c = t₁ ∨ t₂ ∨ … ∨ t_Cmax,  sum = p ⊕ c.
+//
+// This equals the bit-serial definition (walk the bits, track the live
+// chain's length, pass a carry while the length is at most Cmax) because
+// g ∧ p = 0: a generate bit is never a propagate bit, so every chain stops
+// at the next generate or kill position and at most one chain reaches any
+// bit. The fronts t_d are therefore disjoint, the bit that t_d reaches
+// receives exactly the carry the serial walk passes at distance d, and
+// the OR never merges two chains. Each loop runs once per chain-length
+// step — at most the longest chain — instead of once per bit.
 package carry
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 func mask(width int) uint64 {
 	if width >= 64 {
@@ -33,23 +51,18 @@ func GenProp(a, b uint64, width int) (g, p uint64) {
 // Cthmax returns the theoretical maximal carry-chain length of a+b for a
 // width-bit adder (no carry-in): the farthest any generated carry travels.
 func Cthmax(a, b uint64, width int) int {
-	g, p := GenProp(a, b, width)
-	if g == 0 {
-		return 0
+	return LongestChain(GenProp(a, b, width))
+}
+
+// LongestChain returns the longest carry chain of the generate and
+// propagate words g, p (disjoint, as GenProp returns them): Cthmax
+// without the operand masking.
+func LongestChain(g, p uint64) int {
+	n := 0
+	for t := g; t != 0; t = t << 1 & p {
+		n++
 	}
-	best := 0
-	for t := g; t != 0; t &= t - 1 {
-		j := bits.TrailingZeros64(t)
-		// The carry exits bit j and rides consecutive propagate bits.
-		l := 1
-		for k := j + 1; k < width && p>>uint(k)&1 == 1; k++ {
-			l++
-		}
-		if l > best {
-			best = l
-		}
-	}
-	return best
+	return n
 }
 
 // MaxChains returns, for each bit position i, the length of the carry
@@ -90,29 +103,21 @@ func LimitedAdd(a, b uint64, width, cmax int) uint64 {
 		panic(fmt.Sprintf("carry: width %d outside [1, 63]", width))
 	}
 	g, p := GenProp(a, b, width)
-	var sum uint64
-	live := false
-	dist := 0
-	for i := 0; i <= width; i++ {
-		cin := uint64(0)
-		if live && dist <= cmax {
-			cin = 1
-		}
-		if i == width {
-			sum |= cin << uint(width)
-			break
-		}
-		sum |= ((p >> uint(i) & 1) ^ cin) << uint(i)
-		switch {
-		case g>>uint(i)&1 == 1:
-			live, dist = true, 1
-		case p>>uint(i)&1 == 1 && live:
-			dist++
-		default:
-			live, dist = false, 0
-		}
+	return (p ^ LimitedCarries(g, p, cmax)) & (mask(width) | 1<<uint(width))
+}
+
+// LimitedCarries returns the carry vector of the generate and propagate
+// words g, p (disjoint) when every chain is truncated after cmax
+// positions: bit i is set when a carry arrives into position i. The sum
+// word of the truncated adder is p ^ LimitedCarries(g, p, cmax).
+func LimitedCarries(g, p uint64, cmax int) uint64 {
+	var c uint64
+	t := g << 1
+	for d := 1; d <= cmax && t != 0; d++ {
+		c |= t
+		t = t & p << 1
 	}
-	return sum
+	return c
 }
 
 // ExactAdd returns a+b masked to width bits plus the carry out at bit

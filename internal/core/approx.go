@@ -19,8 +19,16 @@ import (
 // compared, or re-characterized like hardware.
 type ApproxAdder struct {
 	model *Model
+	pcg   *rand.PCG
 	rng   *rand.Rand
+	// cdf is the table compiled for sampling: cdf[l] holds column l's
+	// running sums.
+	cdf  [][]float64
+	mask uint64 // operand mask of the model width
 }
+
+// approxStream is the PCG stream constant of every ApproxAdder.
+const approxStream = 0xa99feed
 
 // NewApproxAdder returns a sampling adder driven by the model with a
 // deterministic seed.
@@ -28,11 +36,20 @@ func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	pcg := rand.NewPCG(seed, approxStream)
 	return &ApproxAdder{
 		model: m,
-		rng:   rand.New(rand.NewPCG(seed, 0xa99feed)),
+		pcg:   pcg,
+		rng:   rand.New(pcg),
+		cdf:   m.Table.compileCDF(),
+		mask:  uint64(1)<<uint(m.Width) - 1,
 	}, nil
 }
+
+// Reseed restarts the adder's draws exactly where NewApproxAdder(model,
+// seed) would start them, keeping the compiled table — the cheap way to
+// run many independently seeded replays of one model.
+func (a *ApproxAdder) Reseed(seed uint64) { a.pcg.Seed(seed, approxStream) }
 
 // Width implements HardwareAdder.
 func (a *ApproxAdder) Width() int { return a.model.Width }
@@ -41,11 +58,17 @@ func (a *ApproxAdder) Width() int { return a.model.Width }
 func (a *ApproxAdder) Model() *Model { return a.model }
 
 // Add implements HardwareAdder: one approximate addition with a freshly
-// sampled carry limit.
+// sampled carry limit. Every call draws exactly one uniform from the
+// adder's stream.
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
-	cth := carry.Cthmax(in1, in2, a.model.Width)
-	cmax := a.model.Table.Sample(cth, a.rng)
-	return carry.LimitedAdd(in1, in2, a.model.Width, cmax)
+	g, p := in1&in2&a.mask, (in1^in2)&a.mask
+	cth := carry.LongestChain(g, p)
+	cmax := drawCmax(a.cdf[cth], a.rng.Float64())
+	if cmax >= cth {
+		// No chain is longer than cth, so nothing is truncated.
+		return carry.ExactAdd(in1, in2, a.model.Width)
+	}
+	return p ^ carry.LimitedCarries(g, p, cmax)
 }
 
 // AddWithC performs the modified addition with an explicit carry limit,

@@ -137,23 +137,48 @@ func (t *ProbTable) Validate() error {
 	return nil
 }
 
-// Sample draws Cmax from the column for Cthmax = l.
+// Sample draws Cmax from the column for Cthmax = l (clamped to [0, N]).
+// It scans the same running sums ApproxAdder compiles once per table, so
+// both draw identical values from identical uniforms.
 func (t *ProbTable) Sample(l int, rng *rand.Rand) int {
-	if l < 0 {
-		l = 0
-	}
-	if l > t.N {
-		l = t.N
-	}
-	u := rng.Float64()
+	l = min(max(l, 0), t.N)
+	var buf [64]float64
+	return drawCmax(t.appendCDF(buf[:0], l), rng.Float64())
+}
+
+// appendCDF appends the running sums of column l — P[0][l], P[0][l] +
+// P[1][l], …, up to k = l — to dst, accumulated in k order.
+func (t *ProbTable) appendCDF(dst []float64, l int) []float64 {
 	var cum float64
 	for k := 0; k <= l; k++ {
 		cum += t.P[k][l]
-		if u < cum {
+		dst = append(dst, cum)
+	}
+	return dst
+}
+
+// compileCDF returns every column's running sums (column l at index l),
+// sharing one flat backing array.
+func (t *ProbTable) compileCDF() [][]float64 {
+	flat := make([]float64, 0, (t.N+1)*(t.N+2)/2)
+	cols := make([][]float64, t.N+1)
+	for l := range cols {
+		lo := len(flat)
+		flat = t.appendCDF(flat, l)
+		cols[l] = flat[lo:len(flat):len(flat)]
+	}
+	return cols
+}
+
+// drawCmax returns the first k with u < cdf[k], or the last index when
+// rounding leaves the column's total at or below u.
+func drawCmax(cdf []float64, u float64) int {
+	for k, c := range cdf {
+		if u < c {
 			return k
 		}
 	}
-	return l
+	return len(cdf) - 1
 }
 
 // Mean returns E[Cmax | Cthmax = l].

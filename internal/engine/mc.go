@@ -720,17 +720,21 @@ func (e *Engine) mcChunk(prep *charz.Prepared, req *MCRequest, k apps.MCKernel,
 	}
 	fid := trained.Fidelity
 	pt.Fidelity = &fid
+	// One adder and one runner serve the whole chunk: reseeding the
+	// adder per rep draws exactly what a fresh NewApproxAdder would.
+	approx, err := core.NewApproxAdder(trained.Model, 0)
+	if err != nil {
+		return nil, err
+	}
+	ar, err := apps.NewArith(approx)
+	if err != nil {
+		return nil, err
+	}
+	run := k.Runner()
 	for rep := lo; rep < hi; rep++ {
 		seed := model.RepSeed(base, rep)
-		approx, err := core.NewApproxAdder(trained.Model, seed)
-		if err != nil {
-			return nil, err
-		}
-		ar, err := apps.NewArith(approx)
-		if err != nil {
-			return nil, err
-		}
-		res, err := k.RunRep(seed, ar)
+		approx.Reseed(seed)
+		res, err := run.Run(seed, ar)
 		if err != nil {
 			return nil, err
 		}
