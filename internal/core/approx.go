@@ -19,11 +19,11 @@ import (
 // compared, or re-characterized like hardware.
 type ApproxAdder struct {
 	model *Model
-	pcg   *rand.PCG
+	pcg   rand.PCG
 	rng   *rand.Rand
-	// cdf is the table compiled for sampling: cdf[l] holds column l's
-	// running sums.
-	cdf  [][]float64
+	// cdf is the table compiled for sampling: column l's running sums
+	// start at cdfColumn(l).
+	cdf  []float64
 	mask uint64 // operand mask of the model width
 }
 
@@ -36,14 +36,14 @@ func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	pcg := rand.NewPCG(seed, approxStream)
-	return &ApproxAdder{
+	a := &ApproxAdder{
 		model: m,
-		pcg:   pcg,
-		rng:   rand.New(pcg),
+		pcg:   *rand.NewPCG(seed, approxStream),
 		cdf:   m.Table.compileCDF(),
 		mask:  uint64(1)<<uint(m.Width) - 1,
-	}, nil
+	}
+	a.rng = rand.New(&a.pcg)
+	return a, nil
 }
 
 // Reseed restarts the adder's draws exactly where NewApproxAdder(model,
@@ -63,7 +63,8 @@ func (a *ApproxAdder) Model() *Model { return a.model }
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
 	g, p := in1&in2&a.mask, (in1^in2)&a.mask
 	cth := carry.LongestChain(g, p)
-	cmax := drawCmax(a.cdf[cth], a.rng.Float64())
+	col := a.cdf[cdfColumn(cth):cdfColumn(cth+1)]
+	cmax := drawCmax(col, a.rng.Float64())
 	if cmax >= cth {
 		// No chain is longer than cth, so nothing is truncated.
 		return carry.ExactAdd(in1, in2, a.model.Width)

@@ -157,18 +157,19 @@ func (t *ProbTable) appendCDF(dst []float64, l int) []float64 {
 	return dst
 }
 
-// compileCDF returns every column's running sums (column l at index l),
-// sharing one flat backing array.
-func (t *ProbTable) compileCDF() [][]float64 {
-	flat := make([]float64, 0, (t.N+1)*(t.N+2)/2)
-	cols := make([][]float64, t.N+1)
-	for l := range cols {
-		lo := len(flat)
-		flat = t.appendCDF(flat, l)
-		cols[l] = flat[lo:len(flat):len(flat)]
+// compileCDF returns every column's running sums in one flat array:
+// column l at cdfColumn(l).
+func (t *ProbTable) compileCDF() []float64 {
+	cdf := make([]float64, 0, cdfColumn(t.N+1))
+	for l := 0; l <= t.N; l++ {
+		cdf = t.appendCDF(cdf, l)
 	}
-	return cols
+	return cdf
 }
+
+// cdfColumn is the offset of column l in a compiled CDF (columns hold
+// 1, 2, 3, … entries).
+func cdfColumn(l int) int { return l * (l + 1) / 2 }
 
 // drawCmax returns the first k with u < cdf[k], or the last index when
 // rounding leaves the column's total at or below u.

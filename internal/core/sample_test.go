@@ -68,7 +68,8 @@ func TestCompiledCDFMatchesLinearScan(t *testing.T) {
 			if got := tab.Sample(l, viaSample); got != want {
 				t.Fatalf("trial %d: Sample(%d) = %d, linear scan %d", trial, l, got, want)
 			}
-			if got := drawCmax(cdf[min(max(l, 0), n)], viaCDF.Float64()); got != want {
+			c := min(max(l, 0), n)
+			if got := drawCmax(cdf[cdfColumn(c):cdfColumn(c+1)], viaCDF.Float64()); got != want {
 				t.Fatalf("trial %d: compiled draw at l=%d = %d, linear scan %d", trial, l, got, want)
 			}
 		}
