@@ -31,6 +31,8 @@
 // receives exactly the carry the serial walk passes at distance d, and
 // the OR never merges two chains. Each loop runs once per chain-length
 // step — at most the longest chain — instead of once per bit.
+// LongestChain walks the fronts before their shift (t_d≫1), so Cthmax
+// also holds at width 64, where the carry out has no bit of its own.
 package carry
 
 import "fmt"
