@@ -24,8 +24,11 @@
 //
 // With -diff, the fresh run is compared against a committed baseline file
 // and the command exits non-zero when any benchmark matched by
-// -diff-filter regressed by more than -diff-threshold in ns/op — the CI
-// guard against hot-path regressions (`make bench-diff`). With
+// -diff-filter regressed by more than -diff-threshold in ns/op, or by
+// more than 10% in allocs/op — the CI guard against hot-path
+// regressions (`make bench-diff`). Allocation counts do not depend on
+// the host, so their bound is tight where the wall-time one cannot be.
+// With
 // -profile-regressed, a failing gate first re-runs each regressed
 // benchmark under -cpuprofile and writes one profile per benchmark into
 // DIR, which CI uploads as an artifact so the regression comes with its
@@ -211,9 +214,14 @@ func BestSamples(results []Result) []Result {
 	return out
 }
 
+// allocThreshold is the fractional allocs/op increase that fails the
+// -diff gate.
+const allocThreshold = 0.10
+
 // Diff compares fresh results against the baseline file and returns an
 // error when any benchmark matched by filter regressed beyond threshold
-// (fractional ns/op increase), along with the names of the regressed
+// (fractional ns/op increase) or beyond allocThreshold in allocs/op
+// (when both runs recorded it), along with the names of the regressed
 // benchmarks that are present in the fresh run (the profilable ones).
 // Benchmarks absent from the baseline are reported as new and never
 // fail the gate — a fresh optimization's bench lands before its first
@@ -237,7 +245,8 @@ func Diff(w io.Writer, baselinePath string, fresh []Result, filter string, thres
 	for _, r := range base.Benchmarks {
 		old[r.Name] = r
 	}
-	fmt.Fprintf(w, "diff vs %s (gate: %s, +%.0f%%):\n", baselinePath, filter, threshold*100)
+	fmt.Fprintf(w, "diff vs %s (gate: %s, +%.0f%% ns/op, +%.0f%% allocs/op):\n",
+		baselinePath, filter, threshold*100, allocThreshold*100)
 	var regressed, failures []string
 	seen := make(map[string]bool, len(fresh))
 	for _, r := range fresh {
@@ -259,6 +268,17 @@ func Diff(w io.Writer, baselinePath string, fresh []Result, filter string, thres
 		}
 		fmt.Fprintf(w, "  %-28s %12.1f -> %12.1f ns/op  %+6.1f%%%s\n",
 			r.Name, b.NsOp, r.NsOp, delta*100, mark)
+		if b.AllocsOp != nil && r.AllocsOp != nil {
+			mark = ""
+			if *r.AllocsOp > *b.AllocsOp*(1+allocThreshold) {
+				mark = "  REGRESSED"
+				if delta <= threshold {
+					regressed = append(regressed, r.Name)
+				}
+				failures = append(failures, r.Name+" (allocs/op)")
+			}
+			fmt.Fprintf(w, "  %-28s %12.0f -> %12.0f allocs/op%s\n", "", *b.AllocsOp, *r.AllocsOp, mark)
+		}
 	}
 	for _, r := range base.Benchmarks {
 		if re.MatchString(r.Name) && !seen[r.Name] {
@@ -267,8 +287,8 @@ func Diff(w io.Writer, baselinePath string, fresh []Result, filter string, thres
 		}
 	}
 	if len(failures) > 0 {
-		return regressed, fmt.Errorf("bench-diff: %d benchmark(s) regressed beyond %.0f%%: %s",
-			len(failures), threshold*100, strings.Join(failures, ", "))
+		return regressed, fmt.Errorf("bench-diff: %d regression(s) beyond +%.0f%% ns/op or +%.0f%% allocs/op: %s",
+			len(failures), threshold*100, allocThreshold*100, strings.Join(failures, ", "))
 	}
 	fmt.Fprintln(w, "  no gated regressions")
 	return nil, nil

@@ -115,6 +115,53 @@ func TestDiffGate(t *testing.T) {
 	}
 }
 
+// TestDiffAllocGate: allocs/op is gated at +10% independently of
+// ns/op, and only where both runs recorded it.
+func TestDiffAllocGate(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	base := writeBaseline(t, []Result{
+		{Name: "SimStepDenseRCA8", NsOp: 1000, AllocsOp: allocs(100)},
+		{Name: "Fig8/RCA8", NsOp: 100e6, AllocsOp: allocs(0)},
+		{Name: "SimStepNoMem", NsOp: 1000},
+	})
+	filter := "^(SimStep|Fig8)"
+
+	fresh := []Result{
+		{Name: "SimStepDenseRCA8", NsOp: 900, AllocsOp: allocs(110)},
+		{Name: "Fig8/RCA8", NsOp: 100e6, AllocsOp: allocs(0)},
+		{Name: "SimStepNoMem", NsOp: 1000, AllocsOp: allocs(50)},
+	}
+	if _, err := Diff(io.Discard, base, fresh, filter, 0.20); err != nil {
+		t.Fatalf("+10%% allocs/op failed the gate: %v", err)
+	}
+
+	// One allocation past +10% fails, even with ns/op improving, and
+	// the benchmark is offered for profiling.
+	fresh[0].AllocsOp = allocs(111)
+	var report bytes.Buffer
+	regressed, err := Diff(&report, base, fresh, filter, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "SimStepDenseRCA8 (allocs/op)") {
+		t.Fatalf("allocs/op regression not flagged: %v\n%s", err, report.String())
+	}
+	if len(regressed) != 1 || regressed[0] != "SimStepDenseRCA8" {
+		t.Fatalf("profilable regressions: %v", regressed)
+	}
+
+	// A zero-allocation baseline fails on the first allocation.
+	fresh[0].AllocsOp = allocs(100)
+	fresh[1].AllocsOp = allocs(1)
+	if _, err := Diff(io.Discard, base, fresh, filter, 0.20); err == nil || !strings.Contains(err.Error(), "Fig8/RCA8 (allocs/op)") {
+		t.Fatalf("0 -> 1 allocs/op not flagged: %v", err)
+	}
+
+	// A benchmark failing both gates is profiled once.
+	fresh[1] = Result{Name: "Fig8/RCA8", NsOp: 200e6, AllocsOp: allocs(5)}
+	regressed, err = Diff(io.Discard, base, fresh, filter, 0.20)
+	if err == nil || len(regressed) != 1 || regressed[0] != "Fig8/RCA8" {
+		t.Fatalf("double regression: %v, profilable %v", err, regressed)
+	}
+}
+
 func TestBestSamples(t *testing.T) {
 	rs := BestSamples([]Result{
 		{Name: "A", NsOp: 300},

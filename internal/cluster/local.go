@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -56,7 +57,9 @@ type Member struct {
 }
 
 // StartLocal boots an n-node cluster on loopback listeners and returns
-// once every node is serving.
+// once every node is serving and ready: journaled nodes have replayed
+// their journals, so a submission right after the call cannot meet a
+// recovering engine's 503.
 func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
@@ -114,6 +117,12 @@ func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 		m := &Member{URL: urls[i], Node: node, opts: nodeOpts, ln: lns[i], srv: &http.Server{Handler: node.Handler()}}
 		c.members = append(c.members, m)
 		go m.srv.Serve(m.ln)
+	}
+	for i, m := range c.members {
+		if err := m.Node.Engine().WaitReady(context.Background()); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: node %d never became ready: %w", i, err)
+		}
 	}
 	return c, nil
 }

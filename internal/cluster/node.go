@@ -151,12 +151,15 @@ func (n *Node) Handler() http.Handler { return n.handler }
 // and submit through it directly).
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
-// Close shuts the engine down (waiting for sweeps to stop) and then
-// the peer-cache replication workers.
+// Close shuts the engine down (waiting for sweeps to stop), then the
+// peer-cache replication workers, then the idle peer connections.
 func (n *Node) Close() {
 	n.eng.Close()
 	if n.pc != nil {
 		n.pc.Close()
+	}
+	if n.peers != nil {
+		n.peers.closeIdle()
 	}
 }
 

@@ -35,6 +35,7 @@ type peer struct {
 type peerSet struct {
 	self  string
 	peers map[string]*peer
+	httpc *http.Client // shared by every peer
 }
 
 // newPeerSet builds peers for every member except self. Member URLs
@@ -43,10 +44,18 @@ type peerSet struct {
 // and shard sub-sweeps); nil means the default. It is the cluster's
 // outbound fault-injection seam — internal/chaos wraps it.
 func newPeerSet(self string, members []string, transport http.RoundTripper) (*peerSet, error) {
+	if transport == nil {
+		// Keep enough idle connections per peer for a sweep's concurrent
+		// shard streams and cache fills; the stock two would tear the
+		// rest down and redial them on the next request.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = peerIdleConns
+		transport = t
+	}
 	// One shared client: cache fills and shard streams to the same
 	// fleet should share connection pools, not fight over new sockets.
 	httpc := &http.Client{Transport: transport}
-	ps := &peerSet{self: self, peers: make(map[string]*peer)}
+	ps := &peerSet{self: self, peers: make(map[string]*peer), httpc: httpc}
 	for _, m := range members {
 		if m == self || m == "" {
 			continue
@@ -65,6 +74,13 @@ func newPeerSet(self string, members []string, transport http.RoundTripper) (*pe
 	}
 	return ps, nil
 }
+
+// peerIdleConns is the idle connection pool per peer of the default
+// peer transport.
+const peerIdleConns = 32
+
+// closeIdle releases the peer client's idle connections.
+func (ps *peerSet) closeIdle() { ps.httpc.CloseIdleConnections() }
 
 // get returns the peer for a member URL, or nil for self/unknown.
 func (ps *peerSet) get(url string) *peer { return ps.peers[url] }

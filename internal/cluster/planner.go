@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/charz"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/triad"
 	"repro/vos"
 )
@@ -106,15 +107,15 @@ func (p *Planner) RunOperator(ctx context.Context, plan *engine.OperatorPlan, gr
 		yield(ti, ps)
 	}
 
+	keys, err := engine.PointKeys(plan.Config, plan.Triads)
+	if err != nil {
+		return err
+	}
 	work := make([]*shardGroup, len(groups))
 	for i, idxs := range groups {
-		key, err := groupKey(plan, idxs)
-		if err != nil {
-			return err
-		}
 		work[i] = &shardGroup{
 			idxs:  append([]int(nil), idxs...),
-			key:   key,
+			key:   groupKey(keys, idxs),
 			tried: make(map[string]bool),
 		}
 	}
@@ -225,12 +226,8 @@ func (p *Planner) dispatch(ctx context.Context, plan *engine.OperatorPlan, membe
 		if len(idxs) == 0 {
 			return // not one of ours (or a duplicate delivery)
 		}
-		ps, err := toSummary(pt)
-		if err != nil {
-			return // leave it pending; the remainder is re-dispatched
-		}
 		pending[tr] = idxs[1:]
-		yield(idxs[0], ps)
+		yield(idxs[0], toSummary(pt))
 	}
 	if err := p.runShardSweep(ctx, pr, plan.Config, trs, onPoint); err != nil {
 		pr.br.failure(err)
@@ -423,34 +420,40 @@ func shardSpec(cfg charz.Config, trs []vos.Triad) *vos.Spec {
 }
 
 // groupKey is a group's position on the ring: a hash of the sorted
-// canonical cache keys of its points. Content-derived, so every member
-// computes the same owner for the same group without gossip.
-func groupKey(plan *engine.OperatorPlan, idxs []int) (string, error) {
+// canonical cache keys of its points (planKeys holds the plan's keys by
+// triad index). Content-derived, so every member computes the same
+// owner for the same group without gossip.
+func groupKey(planKeys []string, idxs []int) string {
 	keys := make([]string, len(idxs))
 	for j, ti := range idxs {
-		k, err := engine.PointKey(plan.Config, plan.Triads[ti])
-		if err != nil {
-			return "", err
-		}
-		keys[j] = k
+		keys[j] = planKeys[ti]
 	}
 	sort.Strings(keys)
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // toSummary converts a shard's streamed point into the engine's point
-// summary. The types share their JSON shape by construction; Efficiency
-// is whatever the shard knew (zero mid-stream) and is recomputed by the
-// coordinator's fold over the full operator.
-func toSummary(pt *vos.Point) (engine.PointSummary, error) {
-	data, err := json.Marshal(pt)
-	if err != nil {
-		return engine.PointSummary{}, err
+// summary: the types mirror each other field for field (the vos SDK
+// mirrors the engine's wire schema), so this is a plain copy, sharing
+// the point's slices. Efficiency is whatever the shard knew (zero
+// mid-stream) and is recomputed by the coordinator's fold over the full
+// operator.
+func toSummary(pt *vos.Point) engine.PointSummary {
+	ps := engine.PointSummary{
+		Triad:         triad.Triad(pt.Triad),
+		Stats:         metrics.ErrorStats(pt.Stats),
+		BER:           pt.BER,
+		WER:           pt.WER,
+		PerBit:        pt.PerBit,
+		EnergyPerOpFJ: pt.EnergyPerOpFJ,
+		LateFraction:  pt.LateFraction,
+		Efficiency:    pt.Efficiency,
+		FromCache:     pt.FromCache,
 	}
-	var ps engine.PointSummary
-	if err := json.Unmarshal(data, &ps); err != nil {
-		return engine.PointSummary{}, err
+	if pt.Fidelity != nil {
+		fid := core.Fidelity(*pt.Fidelity)
+		ps.Fidelity = &fid
 	}
-	return ps, nil
+	return ps
 }

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -81,9 +84,63 @@ type keyMaterial struct {
 // a stable hash of the canonicalized Config, the triad, and the process and
 // library fingerprints. Identical keys imply byte-identical results.
 func PointKey(cfg charz.Config, tr triad.Triad) (string, error) {
-	canon, err := cfg.Canonical()
+	keys, err := PointKeys(cfg, []triad.Triad{tr})
 	if err != nil {
 		return "", err
+	}
+	return keys[0], nil
+}
+
+// PointKeys returns PointKey(cfg, tr) for each triad of one operator.
+// The operator's key material is canonicalized and marshaled once; each
+// key then splices the triad's JSON-encoded coordinates into that
+// encoding, so the hashed bytes are exactly those json.Marshal produces
+// for the full keyMaterial.
+func PointKeys(cfg charz.Config, trs []triad.Triad) ([]string, error) {
+	m, err := pointKeyMaterial(cfg)
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	// The triad fields are zero in m and encode last but for the
+	// optional hex model fingerprint, so the last match is theirs.
+	const zeroTriad = `"tclk":0,"vdd":0,"vbb":0`
+	at := bytes.LastIndex(data, []byte(zeroTriad))
+	if at < 0 {
+		return nil, fmt.Errorf("engine: key material %s lacks the triad fields", data)
+	}
+	prefix, suffix := data[:at+len(`"tclk":`)], data[at+len(zeroTriad):]
+	keys := make([]string, len(trs))
+	buf := make([]byte, 0, len(data)+64)
+	for i, tr := range trs {
+		buf = append(buf[:0], prefix...)
+		if buf, err = appendJSONFloat(buf, tr.Tclk); err != nil {
+			return nil, err
+		}
+		buf = append(buf, `,"vdd":`...)
+		if buf, err = appendJSONFloat(buf, tr.Vdd); err != nil {
+			return nil, err
+		}
+		buf = append(buf, `,"vbb":`...)
+		if buf, err = appendJSONFloat(buf, tr.Vbb); err != nil {
+			return nil, err
+		}
+		buf = append(buf, suffix...)
+		sum := sha256.Sum256(buf)
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	return keys, nil
+}
+
+// pointKeyMaterial builds the triad-independent part of an operating
+// point's key material (Tclk, Vdd and Vbb left zero).
+func pointKeyMaterial(cfg charz.Config) (keyMaterial, error) {
+	canon, err := cfg.Canonical()
+	if err != nil {
+		return keyMaterial{}, err
 	}
 	m := keyMaterial{
 		Version:       keySchemaVersion,
@@ -97,19 +154,33 @@ func PointKey(cfg charz.Config, tr triad.Triad) (string, error) {
 		Streaming:     canon.Streaming,
 		Proc:          *canon.Proc,
 		LibFP:         canon.Lib.Fingerprint(),
-		Tclk:          tr.Tclk,
-		Vdd:           tr.Vdd,
-		Vbb:           tr.Vbb,
 	}
 	if canon.Backend == charz.BackendModel {
 		m.Model = model.DefaultSpec().Fingerprint()
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return "", err
+	return m, nil
+}
+
+// appendJSONFloat appends f exactly as encoding/json encodes a float64:
+// shortest round-trip digits, exponent form outside [1e-6, 1e21) with
+// the exponent's leading zero trimmed, and an error for NaN and ±Inf.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("engine: unsupported key value %v", f)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9, as encoding/json does.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // prepKey identifies a prepared (synthesized) operator: the subset of

@@ -4,11 +4,18 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/charz"
+	"repro/internal/synth"
+	"repro/internal/triad"
 )
 
 func cacheTestKey(label string) string {
@@ -278,5 +285,76 @@ func TestCacheBackendContext(t *testing.T) {
 	cancel()
 	if _, ok := c.Get(ctx, key); !ok {
 		t.Fatal("in-process cache must serve under a canceled context")
+	}
+}
+
+// pointKeyOracle is the straightforward derivation PointKeys must
+// reproduce byte for byte: the full key material, triad included,
+// marshaled and hashed per point.
+func pointKeyOracle(cfg charz.Config, tr triad.Triad) (string, error) {
+	m, err := pointKeyMaterial(cfg)
+	if err != nil {
+		return "", err
+	}
+	m.Tclk, m.Vdd, m.Vbb = tr.Tclk, tr.Vdd, tr.Vbb
+	data, err := json.Marshal(m)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// TestPointKeysMatchOracle: the spliced encoding hashes exactly the
+// bytes a per-point json.Marshal of the key material would — for every
+// arch, both the gate and model backends, random triads, and floats
+// JSON prints in exponent form — so existing disk caches and journals
+// keep hitting.
+func TestPointKeysMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	trs := []triad.Triad{
+		{Tclk: 0.5, Vdd: 0.8, Vbb: 0},
+		{Tclk: 1e-7, Vdd: 1e21, Vbb: 2},
+		{Tclk: 5e-324, Vdd: 1.5e300, Vbb: 1e-6},
+		{Tclk: 9.999999e-7, Vdd: 1e20, Vbb: 123456789.125},
+		{Tclk: 0.1 + 0.2, Vdd: 1.0 / 3, Vbb: math.Nextafter(2, 3)},
+	}
+	for i := 0; i < 40; i++ {
+		trs = append(trs, triad.Triad{
+			Tclk: rng.Float64() * math.Pow(10, float64(rng.IntN(30)-15)),
+			Vdd:  rng.Float64() * 1.2,
+			Vbb:  float64(rng.IntN(3)) * rng.Float64(),
+		})
+	}
+	for _, arch := range synth.Arches() {
+		for _, backend := range []charz.Backend{charz.BackendGate, charz.BackendModel} {
+			cfg := charz.Config{Arch: arch, Width: 8, Patterns: 300, Seed: 5, Backend: backend}
+			keys, err := PointKeys(cfg, trs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tr := range trs {
+				want, err := pointKeyOracle(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if keys[i] != want {
+					t.Fatalf("%s/%s triad %+v: PointKeys %s, oracle %s", arch, backend, tr, keys[i], want)
+				}
+				if one, err := PointKey(cfg, tr); err != nil || one != want {
+					t.Fatalf("%s/%s triad %+v: PointKey %s (%v), oracle %s", arch, backend, tr, one, err, want)
+				}
+			}
+		}
+	}
+	// Values JSON cannot encode fail in both.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		tr := triad.Triad{Tclk: 0.5, Vdd: bad}
+		if _, err := PointKeys(testConfig(), []triad.Triad{tr}); err == nil {
+			t.Errorf("PointKeys accepted Vdd=%v", bad)
+		}
+		if _, err := pointKeyOracle(testConfig(), tr); err == nil {
+			t.Errorf("oracle accepted Vdd=%v", bad)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -115,6 +116,13 @@ type Engine struct {
 	flightMu sync.Mutex
 	inflight map[string]*flight
 
+	// decoded memoizes the decoded form of cache-served points by
+	// content key (see decodeHit), FIFO-bounded like the memory cache
+	// layer.
+	decodedMu    sync.Mutex
+	decoded      map[string]decodedPoint
+	decodedOrder []string
+
 	// executions counts points that actually reached the simulator (cache
 	// misses, whether simulated solo or as part of an electrical group).
 	// The cache-effectiveness tests assert this stays flat across
@@ -167,6 +175,13 @@ type flight struct {
 	err  error
 }
 
+// decodedPoint is one decodeHit memo entry: a result and the cached
+// bytes it was decoded from.
+type decodedPoint struct {
+	data []byte
+	res  *charz.TriadResult
+}
+
 // New starts an Engine and its worker pool.
 func New(opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
@@ -205,6 +220,7 @@ func New(opts Options) (*Engine, error) {
 		cancel:   cancel,
 		jobs:     make(chan func()),
 		inflight: make(map[string]*flight),
+		decoded:  make(map[string]decodedPoint),
 		sweeps:   make(map[string]*sweepState),
 		mcs:      make(map[string]*mcState),
 		readyCh:  make(chan struct{}),
@@ -290,6 +306,12 @@ func (e *Engine) Executions() uint64 { return e.executions.Load() }
 // exec runs f on a pool worker and waits for it, honoring both the
 // caller's context and engine shutdown while queued.
 func (e *Engine) exec(ctx context.Context, f func()) error {
+	// A context that is already dead must win outright: the select
+	// below picks at random among ready cases, and an idle worker
+	// would otherwise start a canceled sweep's simulation half the time.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	done := make(chan struct{})
 	job := func() {
 		defer close(done)
@@ -314,7 +336,14 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 // content key, so a sweep over 43 triads (or two sweeps over the same
 // configuration) synthesizes once.
 func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared, error) {
-	key, err := prepKey(cfg)
+	// Canonicalize once: the key and the returned Config then share one
+	// library instance, whose fingerprint is memoized for every later
+	// cache key of the operator.
+	canon, err := cfg.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	key, err := prepKey(canon)
 	if err != nil {
 		return nil, err
 	}
@@ -329,29 +358,26 @@ func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared
 	// The memo is keyed on netlist-relevant fields only; rebind the
 	// caller's full canonical Config (patterns, backend, …) around the
 	// shared netlist and report.
-	canon, err := cfg.Canonical()
-	if err != nil {
-		return nil, err
-	}
 	return &charz.Prepared{Config: canon, Netlist: entry.prep.Netlist, Report: entry.prep.Report}, nil
 }
 
 // RunPoint implements charz.Runner: serve the point from the cache, or
 // simulate it on the pool and store the result.
 func (e *Engine) RunPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad) (*charz.TriadResult, error) {
-	res, _, err := e.runPoint(ctx, p, tr)
+	key, err := PointKey(p.Config, tr)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := e.runPoint(ctx, p, tr, key)
 	return res, err
 }
 
-// runPoint additionally reports whether the result came from the cache.
-func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad) (*charz.TriadResult, bool, error) {
-	key, err := PointKey(p.Config, tr)
-	if err != nil {
-		return nil, false, err
-	}
+// runPoint serves the point under its cache key and additionally
+// reports whether the result came from the cache.
+func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad, key string) (*charz.TriadResult, bool, error) {
 	for {
 		if data, ok := e.cache.Get(ctx, key); ok {
-			if res, err := decodePoint(data); err == nil {
+			if res, err := e.decodeHit(key, data); err == nil {
 				return res, true, nil
 			}
 			// A corrupt entry (truncated disk file, stale format) is a
@@ -381,7 +407,7 @@ func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad
 				}
 				return nil, false, f.err
 			}
-			res, err := decodePoint(f.data)
+			res, err := e.decodeHit(key, f.data)
 			return res, true, err
 		}
 		f := &flight{done: make(chan struct{})}
@@ -446,28 +472,24 @@ func (e *Engine) ownPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad
 // entries, so warm-cache behavior and cached bytes are exactly those
 // of per-triad RunPoint calls.
 func (e *Engine) RunPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad) ([]*charz.TriadResult, error) {
-	res, _, err := e.runPointGroup(ctx, p, trs)
+	keys, err := PointKeys(p.Config, trs)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := e.runPointGroup(ctx, p, trs, keys)
 	return res, err
 }
 
-// runPointGroup additionally reports, per triad, whether the result was
-// served without simulation (own cache entry or another caller's
-// flight).
-func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad) ([]*charz.TriadResult, []bool, error) {
+// runPointGroup serves the triads under their cache keys and
+// additionally reports, per triad, whether the result was served
+// without simulation (own cache entry or another caller's flight).
+func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad, keys []string) ([]*charz.TriadResult, []bool, error) {
 	if len(trs) == 1 {
-		res, cached, err := e.runPoint(ctx, p, trs[0])
+		res, cached, err := e.runPoint(ctx, p, trs[0], keys[0])
 		if err != nil {
 			return nil, nil, err
 		}
 		return []*charz.TriadResult{res}, []bool{cached}, nil
-	}
-	keys := make([]string, len(trs))
-	for i, tr := range trs {
-		key, err := PointKey(p.Config, tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys[i] = key
 	}
 	out := make([]*charz.TriadResult, len(trs))
 	cached := make([]bool, len(trs))
@@ -481,7 +503,7 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 				continue
 			}
 			if data, ok := e.cache.Get(ctx, keys[i]); ok {
-				if res, err := decodePoint(data); err == nil {
+				if res, err := e.decodeHit(keys[i], data); err == nil {
 					out[i], cached[i], done[i] = res, true, true
 					continue
 				}
@@ -538,7 +560,7 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 				}
 				return nil, nil, f.err
 			}
-			res, err := decodePoint(f.data)
+			res, err := e.decodeHit(keys[i], f.data)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -614,10 +636,12 @@ func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Tr
 // non-clustered sweep's group job.
 func (e *Engine) runGroupYield(ctx context.Context, plan *OperatorPlan, idxs []int, yield func(ti int, ps PointSummary)) error {
 	trs := make([]triad.Triad, len(idxs))
+	keys := make([]string, len(idxs))
 	for j, ti := range idxs {
 		trs[j] = plan.Triads[ti]
+		keys[j] = plan.keys[ti]
 	}
-	outs, cachedFlags, err := e.runPointGroup(ctx, plan.Prep, trs)
+	outs, cachedFlags, err := e.runPointGroup(ctx, plan.Prep, trs, keys)
 	if err != nil {
 		return err
 	}
@@ -636,6 +660,41 @@ func (e *Engine) runGroupYield(ctx context.Context, plan *OperatorPlan, idxs []i
 		})
 	}
 	return nil
+}
+
+// decodeHit decodes the bytes of a point served without simulation — a
+// cache hit or another caller's flight — through the engine's memo:
+// bytes already decoded under the same key are not decoded again. The
+// caller gets its own shallow copy (charz writes Efficiency into it;
+// the shared Acc is read-only downstream). Only hits populate the memo:
+// freshly simulated points are decoded by their owner and not retained,
+// so a cold sweep's memory stays that of the cache alone.
+func (e *Engine) decodeHit(key string, data []byte) (*charz.TriadResult, error) {
+	e.decodedMu.Lock()
+	d, ok := e.decoded[key]
+	e.decodedMu.Unlock()
+	// Keys are content addresses, so equal keys should mean equal
+	// bytes; comparing them keeps the memo exactly a decode of what the
+	// backend returned, even if a backend ever served different bytes.
+	if !ok || !bytes.Equal(d.data, data) {
+		res, err := decodePoint(data)
+		if err != nil {
+			return nil, err
+		}
+		d = decodedPoint{data: data, res: res}
+		e.decodedMu.Lock()
+		if _, present := e.decoded[key]; !present {
+			e.decodedOrder = append(e.decodedOrder, key)
+		}
+		e.decoded[key] = d
+		for len(e.decoded) > maxMemEntries && len(e.decodedOrder) > 0 {
+			delete(e.decoded, e.decodedOrder[0])
+			e.decodedOrder = e.decodedOrder[1:]
+		}
+		e.decodedMu.Unlock()
+	}
+	out := *d.res
+	return &out, nil
 }
 
 func decodePoint(data []byte) (*charz.TriadResult, error) {

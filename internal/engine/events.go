@@ -1,13 +1,25 @@
 package engine
 
-// Sweep event streaming: every sweep publishes incremental per-point
-// progress to any number of subscribers. The daemon's NDJSON endpoint
-// (internal/engine/httpapi) and the vos SDK's Events channel are both
-// thin adapters over this seam.
+import (
+	"slices"
+	"sync"
+)
 
-// Event types carried by SweepEvent.Type. A stream is a sequence of
-// progress/point events followed by exactly one terminal event (done,
-// failed or canceled), after which the subscription channel is closed.
+// Job event streaming. Every sweep and Monte Carlo job records its
+// events in an append-only history that lives as long as the job's
+// registry entry, and every subscription is a cursor over that history:
+// one goroutine per subscriber forwards history[next:] into a small
+// channel, parking when it has caught up until the next publish wakes
+// it. Publishing never blocks and never drops — a slow reader only
+// holds its own cursor back — so every subscriber, whenever it attaches
+// and however slowly it drains, sees the job's full event sequence. The
+// daemon's NDJSON endpoints (internal/engine/httpapi) and the vos SDK's
+// Events channels are thin adapters over this seam.
+
+// Event types carried by SweepEvent.Type and MCEvent.Type. A stream is a
+// sequence of progress/point events followed by exactly one terminal
+// event (done, failed or canceled), after which the subscription
+// channel is closed.
 const (
 	// EventProgress reports a status or progress change without a point
 	// payload: the initial snapshot on subscribe and the pending→running
@@ -17,7 +29,7 @@ const (
 	// summary and the operator it belongs to.
 	EventPoint = "point"
 	// EventDone, EventFailed and EventCanceled are the terminal events,
-	// mirroring the sweep's final Status.
+	// mirroring the job's final Status.
 	EventDone     = "done"
 	EventFailed   = "failed"
 	EventCanceled = "canceled"
@@ -43,7 +55,7 @@ type SweepEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// terminal reports whether a status is a sweep's final state.
+// terminal reports whether a status is a job's final state.
 func terminal(s Status) bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
@@ -60,32 +72,154 @@ func terminalEventType(s Status) string {
 	}
 }
 
-// eventBuffer is the minimum per-subscriber channel capacity. Channels
-// are sized to hold the sweep's full replayed history plus every point
-// known to be outstanding at subscribe time, so a draining subscriber
-// attached after planning never drops an event. A subscriber attached
-// while the sweep is still pending (TotalPoints unknown) gets this
-// floor; on a sweep larger than the floor whose consumer drains slower
-// than points complete, live point events can be dropped — the progress
-// counters on later events stay correct, the terminal event takes its
-// reserved slot, and re-subscribing replays the full history, so a
-// dropped tail is always recoverable. One slot is always reserved for
-// the terminal event so even a subscriber that stops draining entirely
-// still sees the stream's ending.
-const eventBuffer = 4096
+// jobEvent is an event type an eventLog can stream (SweepEvent,
+// MCEvent).
+type jobEvent interface {
+	eventType() string
+}
 
-type subscriber struct {
-	ch chan SweepEvent
+func (ev SweepEvent) eventType() string { return ev.Type }
+
+// endsStream reports whether an event type is its stream's last. The
+// test is on the type, not the event's Status: history synthesized for
+// a job restored from the journal stamps the final status on every
+// point event too.
+func endsStream(typ string) bool {
+	switch typ {
+	case EventDone, EventFailed, EventCanceled:
+		return true
+	}
+	return false
+}
+
+// subBuffer is the capacity of each subscription's channel: the events
+// a cursor may run ahead of its reader. It only sets how much a reader
+// can batch — the HTTP stream flushes whenever this queue runs dry —
+// never whether an event is delivered.
+const subBuffer = 32
+
+// subscription is one live cursor's registration in its job's log:
+// publishes signal wake (without blocking) and cancel closes stop.
+type subscription struct {
+	wake chan struct{}
+	stop chan struct{}
+}
+
+// eventLog is a job's append-only event history and its live
+// subscriptions. Every field is guarded by the owning job's lock
+// (sweepState.mu, mcState.mu), which also serializes publication, so
+// every subscriber sees events in snapshot order. The history keeps its
+// own copy of each point (a job's result slice is mutated after the
+// fact — efficiency back-fill — and snapshot-copied per Get, so sharing
+// would race); it lives as long as the job's registry entry, which
+// maxRetainedSweeps bounds.
+type eventLog[E jobEvent] struct {
+	history []E
+	// subs holds every subscription whose cursor has not yet delivered
+	// the terminal event or been canceled: retention pruning and lease
+	// reaping count it.
+	subs map[*subscription]struct{}
+}
+
+// publishLocked appends an event to the history and wakes every
+// subscription. Callers hold the job's lock.
+func (l *eventLog[E]) publishLocked(ev E) {
+	l.history = append(l.history, ev)
+	for sub := range l.subs {
+		select {
+		case sub.wake <- struct{}{}:
+		default: // already signaled; the cursor will see this event too
+		}
+	}
+}
+
+// reserveLocked makes room for n more events — a job knows its event
+// count once planned — so the history is not regrown as points land.
+// Callers hold the job's lock.
+func (l *eventLog[E]) reserveLocked(n int) {
+	l.history = slices.Grow(l.history, n)
+}
+
+// subscribeLocked opens a cursor at the start of the history and
+// returns its channel and cancel function. A stream whose history is
+// still empty (the job is planning) opens with the given snapshot event,
+// so subscribers always see the current state immediately. The channel
+// is closed after the terminal event or once cancel is called; cancel
+// unregisters the subscription before it returns, is idempotent and
+// must be called eventually. Callers hold mu, the job's lock, which the
+// cursor takes to read each new stretch of history.
+func (l *eventLog[E]) subscribeLocked(mu *sync.Mutex, snapshot E) (<-chan E, func()) {
+	sub := &subscription{wake: make(chan struct{}, 1), stop: make(chan struct{})}
+	if l.subs == nil {
+		l.subs = make(map[*subscription]struct{})
+	}
+	l.subs[sub] = struct{}{}
+	ch := make(chan E, subBuffer)
+	opening := len(l.history) == 0
+	go l.forward(mu, sub, ch, opening, snapshot)
+	cancel := func() {
+		mu.Lock()
+		if _, live := l.subs[sub]; live {
+			delete(l.subs, sub)
+			close(sub.stop)
+		}
+		mu.Unlock()
+	}
+	return ch, cancel
+}
+
+// forward is a subscription's cursor: it copies the history into ch
+// from the start, parks on wake whenever it has caught up, and ends
+// after delivering the terminal event (unregistering itself) or when
+// stop closes. History entries are never rewritten once appended, so a
+// stretch read under the lock can be sent without it.
+func (l *eventLog[E]) forward(mu *sync.Mutex, sub *subscription, ch chan<- E, opening bool, snapshot E) {
+	defer close(ch)
+	if opening {
+		select {
+		case ch <- snapshot:
+		case <-sub.stop:
+			return
+		}
+	}
+	next := 0
+	for {
+		mu.Lock()
+		batch := l.history[next:]
+		mu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-sub.wake:
+				continue
+			case <-sub.stop:
+				return
+			}
+		}
+		for _, ev := range batch {
+			select {
+			case ch <- ev:
+			case <-sub.stop:
+				return
+			}
+			next++
+			if endsStream(ev.eventType()) {
+				mu.Lock()
+				delete(l.subs, sub)
+				mu.Unlock()
+				return
+			}
+		}
+	}
 }
 
 // Subscribe returns the sweep's event channel: first a replay of every
 // event published so far (the per-point history is retained for the
-// sweep's lifetime), then the live tail. The channel is closed after the
-// terminal event; the returned cancel function releases the subscription
-// early (it is safe to call after the close, and must be called
-// eventually). Because of the replay, a subscriber joining at any time —
-// even after the sweep finished — sees at least one point event per
-// completed operator before the terminal event.
+// sweep's lifetime), then the live tail, with no event ever dropped.
+// The channel is closed after the terminal event; the returned cancel
+// function releases the subscription early (it is safe to call after
+// the close, and must be called eventually). Because of the replay, a
+// subscriber joining at any time — even after the sweep finished —
+// sees every point event before the terminal event.
 func (e *Engine) Subscribe(id string) (<-chan SweepEvent, func(), bool) {
 	e.sweepMu.Lock()
 	st, ok := e.sweeps[id]
@@ -96,40 +230,8 @@ func (e *Engine) Subscribe(id string) (<-chan SweepEvent, func(), bool) {
 	st.touch()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Size the buffer for the whole stream: replayed history + points
-	// still outstanding + slack for progress transitions and the
-	// terminal event.
-	capacity := len(st.history) + (st.snap.Progress.TotalPoints - st.snap.Progress.Completed) + 8
-	if capacity < eventBuffer {
-		capacity = eventBuffer
-	}
-	sub := &subscriber{ch: make(chan SweepEvent, capacity)}
-	if len(st.history) == 0 {
-		// Nothing published yet (the sweep is still planning): open the
-		// stream with a snapshot so subscribers always see the current
-		// state immediately.
-		sub.ch <- st.eventLocked(EventProgress)
-	}
-	for _, ev := range st.history {
-		sub.ch <- ev
-	}
-	if terminal(st.snap.Status) {
-		close(sub.ch)
-		return sub.ch, func() {}, true
-	}
-	if st.subs == nil {
-		st.subs = make(map[*subscriber]struct{})
-	}
-	st.subs[sub] = struct{}{}
-	cancel := func() {
-		st.mu.Lock()
-		if _, live := st.subs[sub]; live {
-			delete(st.subs, sub)
-			close(sub.ch)
-		}
-		st.mu.Unlock()
-	}
-	return sub.ch, cancel, true
+	ch, cancel := st.events.subscribeLocked(&st.mu, st.eventLocked(EventProgress))
+	return ch, cancel, true
 }
 
 // eventLocked builds an event skeleton from the current snapshot.
@@ -141,31 +243,5 @@ func (st *sweepState) eventLocked(typ string) SweepEvent {
 		Status:   st.snap.Status,
 		Progress: st.snap.Progress,
 		Error:    st.snap.Error,
-	}
-}
-
-// publishLocked records an event in the sweep's replayable history and
-// fans it out to the live subscribers. The history intentionally keeps
-// its own copy of each point (the results array is mutated after the
-// fact — efficiency back-fill — and snapshot-copied per Get, so sharing
-// would race); it lives as long as the sweep's registry entry, which
-// maxRetainedSweeps bounds. Non-terminal events keep one buffer slot
-// free and are dropped for subscribers that fell behind (see
-// eventBuffer for when that can happen and why it is recoverable); the
-// terminal event takes the reserved slot (guaranteed free) and closes
-// every channel. Callers hold st.mu, which serializes all publication.
-func (st *sweepState) publishLocked(ev SweepEvent) {
-	st.history = append(st.history, ev)
-	last := terminal(ev.Status)
-	for sub := range st.subs {
-		if last {
-			sub.ch <- ev // reserved slot: cannot block
-			close(sub.ch)
-			delete(st.subs, sub)
-			continue
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- ev
-		}
 	}
 }

@@ -3,12 +3,14 @@ package httpapi
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -214,17 +216,38 @@ func TestTenantQuota(t *testing.T) {
 	doReq(t, http.MethodDelete, ts.URL+"/v1/sweeps/"+id3, "").Body.Close()
 }
 
+// waitTerminal blocks on the sweep's event stream until its terminal
+// event, which is published in the same critical section as the
+// terminal status, so the sweep is observably finished on return.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
-	for i := 0; i < 1000; i++ {
-		var sw engine.Sweep
-		getJSON(t, ts.URL+"/v1/sweeps/"+id, http.StatusOK, &sw)
-		switch sw.Status {
-		case engine.StatusDone, engine.StatusFailed, engine.StatusCanceled:
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sweeps/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events of sweep %s: status %d", id, resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 16<<20)
+	for sc.Scan() {
+		var ev engine.SweepEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("events of sweep %s: %v", id, err)
+		}
+		switch ev.Type {
+		case engine.EventDone, engine.EventFailed, engine.EventCanceled:
 			return
 		}
 	}
-	t.Fatalf("sweep %s never reached a terminal state", id)
+	t.Fatalf("sweep %s: stream ended without a terminal event (%v)", id, sc.Err())
 }
 
 // TestAccessLog checks the structured request log: one JSON line per

@@ -9,6 +9,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -271,10 +272,34 @@ func (q *tenantQuota) admit(tenant string, statusOf func(id string) (engine.Stat
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	if jw.enc.Encode(v) == nil {
+		w.Write(jw.buf.Bytes())
+	}
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
+
+// jsonWriter is writeJSON's indenting encoder. Pooled, so a response
+// reuses the buffers — the body and the encoder's indentation scratch —
+// of earlier ones instead of growing fresh ones each time.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON is the largest response whose buffers return to the
+// pool, so one outsized result cannot pin its memory.
+const maxPooledJSON = 1 << 20
 
 // writeError emits the structured error envelope. Every non-2xx response
 // of the API goes through here, so clients can rely on the shape and the
@@ -406,10 +431,10 @@ func (s *server) getResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepEvents streams the sweep's event feed as NDJSON (one JSON object
-// per line, application/x-ndjson) until the terminal event, flushing
-// after every event so clients see points as they complete. The stream
-// always begins with a snapshot event, so subscribing to a finished
-// sweep yields exactly its terminal event.
+// per line, application/x-ndjson) until the terminal event. The stream
+// begins with the sweep's full event history — or, while the sweep is
+// still planning, a snapshot event — so a client subscribing at any
+// time sees every point event.
 func (s *server) sweepEvents(w http.ResponseWriter, r *http.Request) {
 	ch, cancel, ok := s.eng.Subscribe(r.PathValue("id"))
 	if !ok {
@@ -417,6 +442,14 @@ func (s *server) sweepEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	streamEvents(w, r, ch)
+}
+
+// streamEvents writes a subscription's events as NDJSON until the
+// channel closes or the client goes away. It flushes whenever no
+// further event is already queued: a live client sees each point as it
+// completes, and a replayed backlog goes out in few writes.
+func streamEvents[E any](w http.ResponseWriter, r *http.Request, ch <-chan E) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -431,7 +464,7 @@ func (s *server) sweepEvents(w http.ResponseWriter, r *http.Request) {
 			if err := enc.Encode(ev); err != nil {
 				return // client went away
 			}
-			if fl != nil {
+			if fl != nil && len(ch) == 0 {
 				fl.Flush()
 			}
 		case <-r.Context().Done():

@@ -108,27 +108,7 @@ func (s *server) mcEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamEvents(w, r, ch)
 }
 
 func (s *server) cancelMC(w http.ResponseWriter, r *http.Request) {

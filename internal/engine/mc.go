@@ -232,12 +232,11 @@ type MCSharder interface {
 // sweepState (same lock discipline: mu serializes snapshot updates and
 // event publication).
 type mcState struct {
-	mu      sync.Mutex
-	snap    MCJob
-	cancel  context.CancelFunc
-	done    chan struct{}
-	subs    map[*mcSubscriber]struct{}
-	history []MCEvent
+	mu     sync.Mutex
+	snap   MCJob
+	cancel context.CancelFunc
+	done   chan struct{}
+	events eventLog[MCEvent]
 	// recovered marks states rebuilt from the journal; lastTouch is the
 	// lease clock (see leaseReaper). cells holds completed cell payloads
 	// by cell index — prefilled from the journal on re-adoption (runMC
@@ -249,15 +248,13 @@ type mcState struct {
 	cells     map[int]*MCPoint
 }
 
-type mcSubscriber struct {
-	ch chan MCEvent
-}
-
 func (s *mcState) update(f func(*MCJob)) {
 	s.mu.Lock()
 	f(&s.snap)
 	s.mu.Unlock()
 }
+
+func (ev MCEvent) eventType() string { return ev.Type }
 
 func (s *mcState) eventLocked(typ string) MCEvent {
 	return MCEvent{
@@ -266,22 +263,6 @@ func (s *mcState) eventLocked(typ string) MCEvent {
 		Status:   s.snap.Status,
 		Progress: s.snap.Progress,
 		Error:    s.snap.Error,
-	}
-}
-
-func (s *mcState) publishLocked(ev MCEvent) {
-	s.history = append(s.history, ev)
-	last := terminal(ev.Status)
-	for sub := range s.subs {
-		if last {
-			sub.ch <- ev // reserved slot: cannot block
-			close(sub.ch)
-			delete(s.subs, sub)
-			continue
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- ev
-		}
 	}
 }
 
@@ -296,7 +277,7 @@ func (s *mcState) updateAndPublish(f func(*MCJob), decorate func(*MCEvent)) {
 	if decorate != nil {
 		decorate(&ev)
 	}
-	s.publishLocked(ev)
+	s.events.publishLocked(ev)
 	s.mu.Unlock()
 }
 
@@ -369,7 +350,7 @@ func (e *Engine) pruneMCLocked() {
 		select {
 		case <-st.done:
 			st.mu.Lock()
-			live := len(st.subs) > 0
+			live := len(st.events.subs) > 0
 			st.mu.Unlock()
 			if !live {
 				delete(e.mcs, id)
@@ -441,7 +422,8 @@ func (e *Engine) WaitMC(ctx context.Context, id string) (MCJob, error) {
 
 // SubscribeMC returns the job's event channel: a replay of every event
 // published so far, then the live tail, closed after the terminal
-// event. Semantics match Subscribe (sweeps) exactly.
+// event. It is Subscribe's cursor over the Monte Carlo registry, with
+// the same semantics.
 func (e *Engine) SubscribeMC(id string) (<-chan MCEvent, func(), bool) {
 	e.sweepMu.Lock()
 	st, ok := e.mcs[id]
@@ -452,34 +434,8 @@ func (e *Engine) SubscribeMC(id string) (<-chan MCEvent, func(), bool) {
 	st.touch()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	capacity := len(st.history) + (st.snap.Progress.TotalPoints - st.snap.Progress.Completed) + 8
-	if capacity < eventBuffer {
-		capacity = eventBuffer
-	}
-	sub := &mcSubscriber{ch: make(chan MCEvent, capacity)}
-	if len(st.history) == 0 {
-		sub.ch <- st.eventLocked(EventProgress)
-	}
-	for _, ev := range st.history {
-		sub.ch <- ev
-	}
-	if terminal(st.snap.Status) {
-		close(sub.ch)
-		return sub.ch, func() {}, true
-	}
-	if st.subs == nil {
-		st.subs = make(map[*mcSubscriber]struct{})
-	}
-	st.subs[sub] = struct{}{}
-	cancel := func() {
-		st.mu.Lock()
-		if _, live := st.subs[sub]; live {
-			delete(st.subs, sub)
-			close(sub.ch)
-		}
-		st.mu.Unlock()
-	}
-	return sub.ch, cancel, true
+	ch, cancel := st.events.subscribeLocked(&st.mu, st.eventLocked(EventProgress))
+	return ch, cancel, true
 }
 
 // kernelSeed folds a kernel name into a job seed so each kernel of a
@@ -543,6 +499,7 @@ func (e *Engine) runMC(ctx context.Context, st *mcState) {
 		j.Status = StatusRunning
 		j.Started = time.Now()
 		j.Progress.TotalPoints = len(cells)
+		st.events.reserveLocked(len(cells) + 2)
 	}, nil)
 
 	points := make([]MCPoint, len(cells))
@@ -675,12 +632,18 @@ func (e *Engine) runMCRange(ctx context.Context, prep *charz.Prepared, req *MCRe
 		wg.Add(1)
 		go func(ch *chunk) {
 			defer wg.Done()
-			err := e.exec(ctx, func() {
-				ch.part, ch.err = e.mcChunk(prep, req, k, tr, base, ch.lo, ch.hi)
-			})
-			if err != nil {
-				ch.err = err
+			// exec can return ErrClosed while the worker still runs the
+			// chunk, so the worker writes only these locals, read once
+			// exec has returned nil.
+			var part *MCPoint
+			var err error
+			if xerr := e.exec(ctx, func() {
+				part, err = e.mcChunk(prep, req, k, tr, base, ch.lo, ch.hi)
+			}); xerr != nil {
+				ch.err = xerr
+				return
 			}
+			ch.part, ch.err = part, err
 		}(ch)
 	}
 	wg.Wait()

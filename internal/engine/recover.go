@@ -576,7 +576,7 @@ func (e *Engine) restoreSweep(w *walSweep) {
 		snap.Results = w.end.Results
 		st := &sweepState{snap: snap, cancel: func() {}, done: make(chan struct{}), recovered: true}
 		close(st.done)
-		st.history = synthesizeSweepHistory(&st.snap)
+		st.events.history = synthesizeSweepHistory(&st.snap)
 		e.sweepMu.Lock()
 		if !e.closed {
 			e.sweeps[w.id] = st
@@ -643,7 +643,7 @@ func (e *Engine) restoreMC(w *walMC) {
 		}
 		st := &mcState{snap: snap, cancel: func() {}, done: make(chan struct{}), recovered: true, cells: w.cells}
 		close(st.done)
-		st.history = synthesizeMCHistory(&st.snap)
+		st.events.history = synthesizeMCHistory(&st.snap)
 		e.sweepMu.Lock()
 		if !e.closed {
 			e.mcs[w.id] = st
@@ -751,7 +751,7 @@ func (e *Engine) reapLeases(now time.Time) {
 	for _, st := range e.sweeps {
 		st.mu.Lock()
 		lease := time.Duration(st.snap.Request.LeaseSec) * time.Second
-		if lease > 0 && !terminal(st.snap.Status) && len(st.subs) == 0 && now.Sub(st.lastTouch) > lease {
+		if lease > 0 && !terminal(st.snap.Status) && len(st.events.subs) == 0 && now.Sub(st.lastTouch) > lease {
 			cancels = append(cancels, st.cancel)
 		}
 		st.mu.Unlock()
@@ -759,7 +759,7 @@ func (e *Engine) reapLeases(now time.Time) {
 	for _, st := range e.mcs {
 		st.mu.Lock()
 		lease := time.Duration(st.snap.Request.LeaseSec) * time.Second
-		if lease > 0 && !terminal(st.snap.Status) && len(st.subs) == 0 && now.Sub(st.lastTouch) > lease {
+		if lease > 0 && !terminal(st.snap.Status) && len(st.events.subs) == 0 && now.Sub(st.lastTouch) > lease {
 			cancels = append(cancels, st.cancel)
 		}
 		st.mu.Unlock()

@@ -339,11 +339,34 @@ func TestRecoveringStateObservable(t *testing.T) {
 	}
 }
 
+// gatedBackend is a CacheBackend whose Get blocks until the gate
+// opens or the requesting sweep's context dies, pinning every sweep in
+// flight for as long as a test needs it there.
+type gatedBackend struct {
+	*Cache
+	gate chan struct{}
+}
+
+func (b gatedBackend) Get(ctx context.Context, key string) ([]byte, bool) {
+	select {
+	case <-b.gate:
+		return b.Cache.Get(ctx, key)
+	case <-ctx.Done():
+		return nil, false
+	}
+}
+
 // TestLeaseReaping drives reapLeases directly (no wall-clock coupling):
 // an unobserved leased job is canceled once its lease lapses, while an
 // open event subscription or the absence of a lease keeps a job alive.
+// The gated cache holds all three sweeps in their first cache lookup,
+// so none can finish before the reaper runs.
 func TestLeaseReaping(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 2})
+	cache, err := NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Options{Workers: 2, Backend: gatedBackend{Cache: cache, gate: make(chan struct{})}})
 	big := Request{Arches: []string{"RCA"}, Widths: []int{8}, Patterns: 5000, Seed: 3}
 
 	leased := big
@@ -423,8 +446,8 @@ func TestPruneRetainsLiveSubscribers(t *testing.T) {
 		e.sweeps[st.snap.ID] = st
 	}
 	oldest := e.sweeps["s-000001"]
-	sub := &subscriber{ch: make(chan SweepEvent, 1)}
-	oldest.subs = map[*subscriber]struct{}{sub: {}}
+	sub := &subscription{}
+	oldest.events.subs = map[*subscription]struct{}{sub: {}}
 
 	e.pruneSweepsLocked()
 	if _, ok := e.sweeps["s-000001"]; !ok {
@@ -435,7 +458,7 @@ func TestPruneRetainsLiveSubscribers(t *testing.T) {
 	}
 
 	// Once the stream is released the cap applies normally again.
-	delete(oldest.subs, sub)
+	delete(oldest.events.subs, sub)
 	st := &sweepState{snap: Sweep{ID: "s-z"}, cancel: func() {}, done: make(chan struct{})}
 	st.snap.Status = StatusDone
 	close(st.done)
@@ -456,13 +479,13 @@ func TestPruneRetainsLiveSubscribers(t *testing.T) {
 		e.mcs[st.snap.ID] = st
 	}
 	mcOldest := e.mcs["mc-000001"]
-	mcSub := &mcSubscriber{ch: make(chan MCEvent, 1)}
-	mcOldest.subs = map[*mcSubscriber]struct{}{mcSub: {}}
+	mcSub := &subscription{}
+	mcOldest.events.subs = map[*subscription]struct{}{mcSub: {}}
 	e.pruneMCLocked()
 	if _, ok := e.mcs["mc-000001"]; !ok {
 		t.Fatal("prune evicted a finished mc job with a live subscriber")
 	}
-	delete(mcOldest.subs, mcSub)
+	delete(mcOldest.events.subs, mcSub)
 }
 
 // TestCancelErrorCodes pins the cancel error surface both registries

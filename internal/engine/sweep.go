@@ -219,6 +219,8 @@ type OperatorPlan struct {
 	Config charz.Config
 	Prep   *charz.Prepared
 	Triads []triad.Triad
+	// keys are the Triads' cache keys (PointKeys), by triad index.
+	keys []string
 }
 
 // Plan expands a request into per-operator point-job lists. Planning
@@ -258,7 +260,11 @@ func (e *Engine) Plan(ctx context.Context, req *Request) ([]OperatorPlan, error)
 			default:
 				set = prep.TriadSet()
 			}
-			plans = append(plans, OperatorPlan{Config: prep.Config, Prep: prep, Triads: set})
+			keys, err := PointKeys(prep.Config, set)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, OperatorPlan{Config: prep.Config, Prep: prep, Triads: set, keys: keys})
 		}
 	}
 	return plans, nil
@@ -382,12 +388,9 @@ type sweepState struct {
 	snap   Sweep
 	cancel context.CancelFunc
 	done   chan struct{}
-	// subs are the live event subscribers and history the sweep's full
-	// replayable event log (events.go); mu serializes snapshot updates
-	// and event publication, so every subscriber sees events in snapshot
-	// order.
-	subs    map[*subscriber]struct{}
-	history []SweepEvent
+	// events is the sweep's replayable event log and its subscriptions
+	// (events.go); mu serializes snapshot updates and event publication.
+	events eventLog[SweepEvent]
 	// recovered marks states rebuilt from the journal (recover.go);
 	// lastTouch is the lease clock — the last time anyone observed the
 	// job (see leaseReaper). Both under mu.
@@ -414,7 +417,7 @@ func (s *sweepState) updateAndPublish(f func(*Sweep), decorate func(*SweepEvent)
 	if decorate != nil {
 		decorate(&ev)
 	}
-	s.publishLocked(ev)
+	s.events.publishLocked(ev)
 	s.mu.Unlock()
 }
 
@@ -494,7 +497,7 @@ func (e *Engine) pruneSweepsLocked() {
 		select {
 		case <-st.done:
 			st.mu.Lock()
-			live := len(st.subs) > 0
+			live := len(st.events.subs) > 0
 			st.mu.Unlock()
 			if !live {
 				delete(e.sweeps, id)
@@ -592,6 +595,8 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 		s.Status = StatusRunning
 		s.Started = time.Now()
 		s.Progress.TotalPoints = total
+		// This running event, one per point, and the terminal event.
+		st.events.reserveLocked(total + 2)
 	}, nil)
 
 	results := make([]OperatorResult, len(plans))
@@ -625,7 +630,7 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 		// was obtained. Concurrent yields write distinct Points indices
 		// and serialize publication on the sweep lock.
 		op := &results[pi]
-		plan := p
+		keys := p.keys
 		yield := func(ti int, ps PointSummary) {
 			op.Points[ti] = ps
 			st.updateAndPublish(func(s *Sweep) {
@@ -647,9 +652,7 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 			// lock): on replay the key re-verifies the cached bytes that
 			// make re-execution unnecessary.
 			if e.journal != nil {
-				if key, err := PointKey(plan.Config, plan.Triads[ti]); err == nil {
-					e.journalSweepPoint(st.snap.ID, key)
-				}
+				e.journalSweepPoint(st.snap.ID, keys[ti])
 			}
 		}
 		// Cluster mode: hand the whole operator to the sharder, which

@@ -9,7 +9,6 @@ package vos
 // merge deterministically.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -367,15 +366,7 @@ func (c *Remote) MCStatus(ctx context.Context, id string) (*MCResult, error) {
 // fall back to polling the status endpoint. Reconnect-mode semantics
 // match Wait: transient failures are retried, a 404 ends the wait.
 func (c *Remote) WaitMC(ctx context.Context, id string) (*MCResult, error) {
-	if ch, err := c.MCEvents(ctx, id); err == nil {
-		for ev := range ch {
-			if ev.Terminal() {
-				break
-			}
-		}
-		// Drained (terminal seen, or the stream dropped): the polling
-		// loop below resolves the final status either way.
-	} else if errors.Is(err, ErrNotFound) {
+	if err := c.awaitTerminal(ctx, "/v1/mc/"+url.PathEscape(id)+"/events"); errors.Is(err, ErrNotFound) {
 		return nil, err
 	}
 	ticker := time.NewTicker(c.poll)
@@ -426,7 +417,10 @@ func (c *Remote) MCEvents(ctx context.Context, id string) (<-chan MCEvent, error
 	out := make(chan MCEvent, 16)
 	go func() {
 		defer close(out)
-		seen := make(map[string]bool)
+		var seen map[mcPointKey]bool
+		if c.reconnect {
+			seen = make(map[mcPointKey]bool)
+		}
 		first := true
 		for {
 			done := forwardMCEvents(ctx, resp, out, seen, first)
@@ -442,12 +436,18 @@ func (c *Remote) MCEvents(ctx context.Context, id string) (<-chan MCEvent, error
 	return out, nil
 }
 
+// mcPointKey identifies a Monte Carlo point event for reconnect
+// deduplication.
+type mcPointKey struct {
+	kernel string
+	triad  Triad
+}
+
 // forwardMCEvents mirrors forwardSweepEvents for Monte Carlo streams.
 func forwardMCEvents(ctx context.Context, resp *http.Response, out chan<- MCEvent,
-	seen map[string]bool, first bool) bool {
+	seen map[mcPointKey]bool, first bool) bool {
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc := newEventScanner(resp.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -458,13 +458,18 @@ func forwardMCEvents(ctx context.Context, resp *http.Response, out chan<- MCEven
 			return true
 		}
 		if ev.Type == EventPoint && ev.Point != nil {
-			key := fmt.Sprintf("%s|%v", ev.Point.Kernel, ev.Point.Triad)
-			if seen[key] {
-				continue
+			if seen != nil {
+				key := mcPointKey{ev.Point.Kernel, ev.Point.Triad}
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
-			seen[key] = true
 		} else if !first && !ev.Terminal() {
 			continue
+		}
+		if ev.Terminal() {
+			drainStream(resp.Body)
 		}
 		select {
 		case out <- ev:

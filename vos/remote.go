@@ -208,15 +208,10 @@ func (c *Remote) Status(ctx context.Context, id string) (*Result, error) {
 // 404, which a journaled daemon only sends once replay has finished and
 // the id is authoritatively unknown.
 func (c *Remote) Wait(ctx context.Context, id string) (*Result, error) {
-	if ch, err := c.Events(ctx, id); err == nil {
-		for ev := range ch {
-			if ev.Terminal() {
-				break
-			}
-		}
-		// Drained (terminal seen, or the stream dropped): the polling
-		// loop below resolves the final status either way.
-	} else if errors.Is(err, ErrNotFound) {
+	// Followed to its end (terminal seen, or the stream dropped), the
+	// stream has done its job: the polling loop below resolves the final
+	// status either way.
+	if err := c.awaitTerminal(ctx, "/v1/sweeps/"+url.PathEscape(id)+"/events"); errors.Is(err, ErrNotFound) {
 		return nil, err
 	}
 	ticker := time.NewTicker(c.poll)
@@ -296,6 +291,65 @@ func (c *Remote) reopenStream(ctx context.Context, path string) *http.Response {
 	}
 }
 
+// awaitTerminal follows an NDJSON event stream until its terminal event
+// without delivering any event: only each line's "type" is decoded. In
+// Reconnect mode a dropped stream is reopened, as Events does. The
+// error is the stream's opening failure; a stream that ends early
+// returns nil — Wait and WaitMC poll the final status anyway.
+func (c *Remote) awaitTerminal(ctx context.Context, path string) error {
+	resp, err := c.openStream(ctx, path)
+	if err != nil {
+		return err
+	}
+	for !skipToTerminal(resp) && c.reconnect {
+		if resp = c.reopenStream(ctx, path); resp == nil {
+			return nil
+		}
+	}
+	return nil
+}
+
+// skipToTerminal reads one stream connection, reporting whether it is
+// finished with: a terminal event or an undecodable line was read.
+func skipToTerminal(resp *http.Response) bool {
+	defer resp.Body.Close()
+	sc := newEventScanner(resp.Body)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return true
+		}
+		if (Event{Type: ev.Type}).Terminal() {
+			drainStream(resp.Body)
+			return true
+		}
+	}
+	return false
+}
+
+// drainStream reads the rest of a response past the value the client
+// wanted — for the daemon only the end of the body, which it sends
+// right after the value — so the connection goes back to the client's
+// pool instead of being torn down. Bounded, in case a server keeps
+// writing.
+func drainStream(body io.Reader) {
+	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+}
+
+// newEventScanner returns a line scanner for an NDJSON event stream. Its
+// buffer starts small and grows to the longest line, up to 16 MiB.
+func newEventScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 16<<20)
+	return sc
+}
+
 // Events implements Client. The stream is read line-by-line from the
 // daemon's NDJSON endpoint; canceling the context closes it. In
 // Reconnect mode a dropped stream is reopened against the daemon's
@@ -312,7 +366,11 @@ func (c *Remote) Events(ctx context.Context, id string) (<-chan Event, error) {
 	out := make(chan Event, 16)
 	go func() {
 		defer close(out)
-		seen := make(map[string]bool)
+		// Only a reopened stream replays points already delivered.
+		var seen map[sweepPointKey]bool
+		if c.reconnect {
+			seen = make(map[sweepPointKey]bool)
+		}
 		first := true
 		for {
 			done := forwardSweepEvents(ctx, resp, out, seen, first)
@@ -328,15 +386,22 @@ func (c *Remote) Events(ctx context.Context, id string) (<-chan Event, error) {
 	return out, nil
 }
 
+// sweepPointKey identifies a point event for reconnect deduplication.
+type sweepPointKey struct {
+	bench, arch string
+	width       int
+	triad       Triad
+}
+
 // forwardSweepEvents drains one stream connection into out, reporting
 // whether the stream completed (terminal event delivered or consumer
-// gone). On replayed connections (first == false) duplicate point
-// events and bare progress events are suppressed.
+// gone). With seen non-nil (Reconnect mode) delivered point events are
+// recorded there, and on replayed connections (first == false)
+// duplicate point events and bare progress events are suppressed.
 func forwardSweepEvents(ctx context.Context, resp *http.Response, out chan<- Event,
-	seen map[string]bool, first bool) bool {
+	seen map[sweepPointKey]bool, first bool) bool {
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc := newEventScanner(resp.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -347,13 +412,19 @@ func forwardSweepEvents(ctx context.Context, resp *http.Response, out chan<- Eve
 			return true
 		}
 		if ev.Type == EventPoint && ev.Point != nil {
-			key := fmt.Sprintf("%s|%s|%d|%v", ev.Bench, ev.Arch, ev.Width, ev.Point.Triad)
-			if seen[key] {
-				continue
+			if seen != nil {
+				key := sweepPointKey{ev.Bench, ev.Arch, ev.Width, ev.Point.Triad}
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
-			seen[key] = true
 		} else if !first && !ev.Terminal() {
 			continue
+		}
+		if ev.Terminal() {
+			// Before the consumer, done with the stream, can cancel it.
+			drainStream(resp.Body)
 		}
 		select {
 		case out <- ev:
@@ -433,6 +504,7 @@ func (c *Remote) call(ctx context.Context, method, path string, body []byte, wan
 		}
 		if out != nil {
 			err = json.NewDecoder(resp.Body).Decode(out)
+			drainStream(resp.Body)
 			resp.Body.Close()
 			if err != nil {
 				return fmt.Errorf("vos: %s %s: decode response: %w", method, path, err)
